@@ -445,17 +445,17 @@ def _grid_min_norm(points, step=1e-3):
             vals = np.abs(pts[0] * (i / m) + pts[1] * w + pts[2] * (1 - i / m - w))
             best = min(best, float(np.abs(vals).min()))
         return best
-    # n == 4: exact 1D convex minimization over the last weight per (i, j)
+    # n == 4: exact 1D convex minimization over the last weight per (i, j),
+    # vectorized over j; one row at a time keeps the memory at O(m)
+    direction = (pts[2] - pts[3]) / m
+    denom = abs(direction) ** 2
     for i in range(m + 1):
-        for j in range(m + 1 - i):
-            rem = m - i - j
-            base = pts[0] * (i / m) + pts[1] * (j / m) + pts[3] * (rem / m)
-            direction = (pts[2] - pts[3]) / m
-            denom = abs(direction) ** 2
-            k = 0.0 if denom == 0 else -((base.conjugate() * direction).real) / denom
-            for kk in {int(np.floor(k)), int(np.ceil(k))}:
-                kk = min(max(kk, 0), rem)
-                best = min(best, abs(base + kk * direction))
+        j = np.arange(m + 1 - i)
+        rem = m - i - j
+        base = pts[0] * (i / m) + pts[1] * (j / m) + pts[3] * (rem / m)
+        k = np.zeros(j.size) if denom == 0 else -((base.conjugate() * direction).real) / denom
+        for kk in (np.floor(k), np.ceil(k)):
+            best = min(best, float(np.abs(base + np.clip(kk, 0, rem) * direction).min()))
     return best
 
 
@@ -817,6 +817,10 @@ def main(argv=None) -> int:
     if args.command == "tables" and args.d is None:
         args.d = "3..7" if args.family == "v" else "3..6"
     try:
+        if not getattr(args, "tol", 1.0) > 0:
+            raise InputError("--tol must be positive")
+        if getattr(args, "restarts", 1) < 1:
+            raise InputError("--restarts must be at least 1")
         text, code = args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

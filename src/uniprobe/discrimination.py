@@ -141,11 +141,11 @@ def _support_basis(weighted: list, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray
     return v[:, keep]
 
 
-def _srm_elements(weighted: list, dim: int) -> list:
-    inv_sqrt, proj = _psd_inv_sqrt(sum(weighted))
-    elems = [inv_sqrt @ g @ inv_sqrt for g in weighted]
+def _srm_elements(weighted: np.ndarray) -> np.ndarray:
+    inv_sqrt, proj = _psd_inv_sqrt(weighted.sum(axis=0))
+    elems = inv_sqrt @ weighted @ inv_sqrt
     # residual identity on the kernel goes to element 0
-    elems[0] = elems[0] + np.eye(dim) - proj
+    elems[0] += np.eye(weighted.shape[-1]) - proj
     return elems
 
 
@@ -156,23 +156,24 @@ def square_root_measurement(ensemble: StateEnsemble):
     both a lower-bound heuristic and the solver warm start.
     """
     weighted = ensemble.weighted()
-    elems = _srm_elements(weighted, ensemble.dim)
+    elems = _srm_elements(np.array(weighted))
     value = float(sum(np.trace(g @ e).real for g, e in zip(weighted, elems)))
-    return Povm(elems), value
+    return Povm(list(elems)), value
 
 
-def _certified_gap(weighted: list, elems: list, dim: int):
+def _certified_gap(weighted: np.ndarray, elems: np.ndarray, cap: float):
     """Primal value and a rigorous optimality gap from the feasibilized dual.
 
     Y is the Hermitian part of sum_x G_x N_x; shifting it by the largest
     violation of Y >= G_x makes it dual feasible, so the optimum sits within
-    dim * max(0, violation) of the primal value.
+    dim * max(0, violation) of the primal value. ``cap`` is an upper bound on
+    the optimum known beforehand, and the smaller of the two gaps is kept.
     """
-    lam_op = sum(g @ e for g, e in zip(weighted, elems))
+    lam_op = (weighted @ elems).sum(axis=0)
     value = float(np.trace(lam_op).real)
     y = (lam_op + lam_op.conj().T) / 2
-    worst = max(float(np.linalg.eigvalsh(g - y).max()) for g in weighted)
-    return value, dim * max(worst, 0.0)
+    worst = float(np.linalg.eigvalsh(weighted - y).max())
+    return value, min(weighted.shape[-1] * max(worst, 0.0), max(cap - value, 0.0))
 
 
 def discriminate_optimal(
@@ -185,9 +186,15 @@ def discriminate_optimal(
     The problem is first restricted to the joint support of the weighted
     states (exact: the kernel contributes nothing to the value, and the
     returned POVM is completed there with a projector on element 0). The
-    fixed-point iteration then runs until the certified dual gap drops to
-    ``tol``, the value stalls, or ``max_iter`` is reached; the best iterate
-    seen is returned with ``converged`` flagging whether the gap was met.
+    trivial measurement that always guesses the likeliest state seeds the
+    best iterate. The fixed-point iteration then runs until the best
+    certified gap drops to ``tol``, the value stalls, or ``max_iter`` is
+    reached; the best iterate is returned with ``converged`` flagging
+    whether the gap was met.
+
+    Both Y = sum_x G_x and Y = max_x lambda_max(G_x) * I are dual feasible,
+    so the least of their traces caps the optimum; every iterate's gap is at
+    most that cap minus its value.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -198,27 +205,31 @@ def discriminate_optimal(
 
     basis = _support_basis(weighted_full)
     reduced = basis.shape[1] < dim
-    weighted = [basis.conj().T @ g @ basis for g in weighted_full] if reduced else weighted_full
-    r = weighted[0].shape[0]
+    # stack the states only once reduced (r <= n for pure states): a stacked
+    # copy of large full-space states would dominate peak memory
+    weighted = np.array(
+        [basis.conj().T @ g @ basis for g in weighted_full] if reduced else weighted_full
+    )
+    r = weighted.shape[-1]
     eye = np.eye(r)
+    trace_sum = float(np.einsum("xii->", weighted).real)
+    cap = min(trace_sum, r * float(np.linalg.eigvalsh(weighted).max()))
 
-    elems = _srm_elements(weighted, r)
-    best_value = -np.inf
-    best_gap = np.inf
-    best_elems = elems
-    converged = False
+    best_elems = np.zeros_like(weighted)
+    best_elems[int(np.argmax(ensemble.priors))] = eye
+    best_value, best_gap = _certified_gap(weighted, best_elems, cap)
+    elems = _srm_elements(weighted)
     iterations = 0
     stall = 0
     prev_value = None
 
     for iterations in range(1, max_iter + 1):
-        value, gap = _certified_gap(weighted, elems, r)
+        value, gap = _certified_gap(weighted, elems, cap)
         if value > best_value:
             best_value, best_gap, best_elems = value, gap, elems
         elif gap < best_gap and value >= best_value - tol:
             best_value, best_gap, best_elems = value, gap, elems
-        if gap <= tol:
-            converged = True
+        if best_gap <= tol:
             break
         if prev_value is not None:
             rel = abs(value - prev_value) / max(abs(value), 1e-300)
@@ -227,25 +238,26 @@ def discriminate_optimal(
                 break
         prev_value = value
 
-        mu = sum(g @ e @ g for g, e in zip(weighted, elems))
-        inv_sqrt, proj = _psd_inv_sqrt(mu)
-        elems = [inv_sqrt @ (g @ e @ g) @ inv_sqrt for g, e in zip(weighted, elems)]
-        elems[0] = elems[0] + eye - proj
+        mu = weighted @ elems @ weighted
+        inv_sqrt, proj = _psd_inv_sqrt(mu.sum(axis=0))
+        elems = inv_sqrt @ mu @ inv_sqrt
+        elems[0] += eye - proj
 
     if reduced:
         lifted = [basis @ e @ basis.conj().T for e in best_elems]
         lifted[0] = lifted[0] + np.eye(dim) - basis @ basis.conj().T
     else:
-        lifted = best_elems
+        lifted = list(best_elems)
     povm = Povm(lifted)
-    # recompute on the full space so the reported value matches the POVM
-    value = float(sum(np.trace(g @ e).real for g, e in zip(weighted_full, lifted)))
+    # recompute on the full space so the reported value matches the POVM;
+    # Tr(G E) = sum_ij G_ij E_ji needs no matrix product
+    value = float(sum(np.einsum("ij,ji->", g, e).real for g, e in zip(weighted_full, lifted)))
     return DiscriminationOutcome(
         success_prob=value,
         povm=povm,
         dual_gap=float(best_gap),
         iterations=iterations,
-        converged=converged,
+        converged=best_gap <= tol,
     )
 
 

@@ -168,6 +168,9 @@ def _seesaw_run(operators, priors, start, cfg: SeesawConfig):
     """
     probe = np.asarray(start, dtype=complex)
     probe = probe / np.linalg.norm(probe)
+    # p_max * I is dual feasible for any probe in this space, so no run can
+    # beat min(1, p_max * D); reaching it ends the run
+    bound = min(1.0, float(np.max(priors)) * probe.size) - cfg.inner_tol
     best_value, best_probe = -np.inf, probe
     prev_value = -np.inf
     flat = 0
@@ -185,7 +188,7 @@ def _seesaw_run(operators, priors, start, cfg: SeesawConfig):
             best_value, best_probe = value, probe
         flat = flat + 1 if value - prev_value < improve_eps else 0
         prev_value = value
-        if flat >= _NO_IMPROVE_WINDOW or value >= 1.0 - cfg.inner_tol:
+        if flat >= _NO_IMPROVE_WINDOW or value >= bound:
             break
         f = sum(
             p * a.conj().T @ n @ a

@@ -94,6 +94,12 @@ class TestEnsemble:
         r = run_cli("ensemble", "--probe-class", "maxent")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("flag", ["--tol=0", "--tol=-1e-6", "--restarts=0"])
+    def test_bad_solver_flags_exit_2(self, flag):
+        r = run_cli("ensemble", "--builtin", "v:3", "--probe-class", "arbitrary", flag)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+
 
 class TestTables:
     def test_single_row_csv(self):

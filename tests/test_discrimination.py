@@ -13,7 +13,7 @@ from uniprobe.discrimination import (
 )
 from uniprobe.families import probe_max_entangled, v_family, w_family
 from uniprobe.probeopt import evolve
-from uniprobe.qlinalg import haar_unitary
+from uniprobe.qlinalg import PureState, haar_unitary
 
 
 def orthogonal_ensemble(n, d=None):
@@ -90,10 +90,55 @@ class TestDiscriminateOptimal:
             ens = StateEnsemble([rho1, rho2], np.array([p, 1 - p]))
             out = discriminate_optimal(ens, tol=1e-7)
             assert out.converged
-            assert out.success_prob == pytest.approx(
-                helstrom_two(rho1, rho2, p, 1 - p), abs=1e-6
-            )
+            hel = helstrom_two(rho1, rho2, p, 1 - p)
+            assert out.success_prob == pytest.approx(hel, abs=1e-6)
+            # the value is achieved and the gap bounds the optimum
+            assert out.success_prob - 1e-12 <= hel <= out.success_prob + out.dual_gap + 1e-12
             out.povm.validate()
+
+    def test_dominant_state_reaches_guessing_value(self, rng):
+        # 0.8 * I/2 >= 0.2 * rho, so always guessing state 0 is optimal and
+        # certified before the iteration, which alone approaches 0.8 from below
+        for _ in range(10):
+            rho = random_density(2, rng)
+            ens = StateEnsemble([np.eye(2) / 2, rho], np.array([0.8, 0.2]))
+            out = discriminate_optimal(ens, tol=1e-7)
+            assert out.success_prob >= 0.8 - 1e-12
+            assert out.converged and out.dual_gap <= 1e-7
+            assert out.iterations == 1
+            out.povm.validate()
+
+    def test_w3_product_certified_at_cap(self):
+        # six pure states in C^3 with priors 1/6: p_max * I caps the value at
+        # 1/2, which the square-root warm start attains at e1; from the
+        # uniform vector the iteration creeps up and the cap certifies it
+        e1 = np.eye(3, dtype=complex)[:, 0]
+        ens = evolve(w_family(3), PureState(3, 3, np.kron(e1, e1)))
+        out = discriminate_optimal(ens, tol=1e-7)
+        assert out.success_prob == pytest.approx(0.5, abs=1e-12)
+        assert out.dual_gap == 0.0
+        assert out.iterations == 1 and out.converged
+        uniform = np.ones(3, dtype=complex) / np.sqrt(3)
+        ens = evolve(w_family(3), PureState(3, 3, np.kron(uniform, e1)))
+        out = discriminate_optimal(ens, tol=1e-7)
+        assert out.converged
+        assert out.dual_gap == pytest.approx(0.5 - out.success_prob, rel=1e-6)
+
+    def test_scaled_ensemble_gap_bounds_optimum(self, rng):
+        # unnormalized states scale the optimum; the cap must scale with them
+        amp = np.zeros(9, dtype=complex)
+        amp[0] = 1.0
+        ens = evolve(w_family(3), PureState(3, 3, amp))
+        scaled = StateEnsemble([3 * s for s in ens.states], ens.priors)
+        out = discriminate_optimal(scaled, tol=1e-7)
+        assert out.success_prob <= 1.5 + 1e-12 <= out.success_prob + out.dual_gap + 2e-12
+        for _ in range(5):
+            rho1, rho2 = random_density(3, rng), random_density(3, rng)
+            c = float(rng.uniform(0.1, 5.0))
+            scaled = StateEnsemble([c * rho1, c * rho2], np.array([0.3, 0.7]))
+            out = discriminate_optimal(scaled, tol=1e-7)
+            opt = c * helstrom_two(rho1, rho2, 0.3, 0.7)
+            assert out.success_prob - 1e-12 <= opt <= out.success_prob + out.dual_gap + 1e-12
 
     def test_value_bounds_and_invariance(self, rng):
         for _ in range(10):

@@ -1,43 +1,8 @@
 import numpy as np
 import pytest
 
+from uniprobe.cli import _grid_min_norm as grid_min_norm
 from uniprobe.hullgeom import min_hull_norm, origin_in_hull
-
-
-def grid_min_norm(points, step=1e-3):
-    """Brute-force minimum over the discretized weight simplex.
-
-    Independent of the production path: pure grid enumeration for up to
-    three points, and for four points a grid over the first three weights
-    with the last one minimized exactly along its convex 1D section.
-    """
-    pts = np.asarray(points, dtype=complex)
-    n = pts.size
-    m = int(round(1.0 / step))
-    if n == 1:
-        return abs(pts[0])
-    if n == 2:
-        w = np.arange(m + 1) / m
-        return float(np.abs(w * pts[0] + (1 - w) * pts[1]).min())
-    if n == 3:
-        best = np.inf
-        for i in range(m + 1):
-            w = np.arange(m + 1 - i) / m
-            vals = np.abs(pts[0] * (i / m) + pts[1] * w + pts[2] * (1 - i / m - w))
-            best = min(best, float(vals.min()))
-        return best
-    best = np.inf
-    for i in range(m + 1):
-        for j in range(m + 1 - i):
-            rem = m - i - j
-            base = pts[0] * (i / m) + pts[1] * (j / m) + pts[3] * (rem / m)
-            step_c = (pts[2] - pts[3]) / m
-            denom = abs(step_c) ** 2
-            k = 0.0 if denom == 0 else -((base.conjugate() * step_c).real) / denom
-            for kk in {int(np.floor(k)), int(np.ceil(k))}:
-                kk = min(max(kk, 0), rem)
-                best = min(best, abs(base + kk * step_c))
-    return best
 
 
 class TestMinHullNorm:
@@ -116,6 +81,23 @@ class TestProperties:
             n = int(rng.integers(1, 6))
             pts = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
             assert min_hull_norm(pts).min_norm <= abs(pts.mean()) + 1e-12
+
+    def test_grid_oracle_matches_loop_reference(self, rng):
+        # the four-point oracle is vectorized over j; the scalar loop it
+        # replaced, on a coarse grid, must give the same minimum
+        m = 100
+        for _ in range(3):
+            pts = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
+            direction = (pts[2] - pts[3]) / m
+            best = np.inf
+            for i in range(m + 1):
+                for j in range(m + 1 - i):
+                    rem = m - i - j
+                    base = pts[0] * (i / m) + pts[1] * (j / m) + pts[3] * (rem / m)
+                    k = -((base.conjugate() * direction).real) / abs(direction) ** 2
+                    for kk in {int(np.floor(k)), int(np.ceil(k))}:
+                        best = min(best, abs(base + min(max(kk, 0), rem) * direction))
+            assert grid_min_norm(pts, step=1.0 / m) == pytest.approx(best, abs=1e-15)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_grid_oracle_agreement(self, n, rng):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from uniprobe import probeopt
 from uniprobe.families import (
     ARBITRARY,
     MAX_ENTANGLED,
@@ -99,6 +100,24 @@ class TestOptimize:
         assert res.value == pytest.approx(0.9605, abs=1e-3)
         assert res.probe.class_tag == MAX_ENTANGLED
         assert res.restart_values == [res.value]
+
+    def test_seesaw_run_stops_at_class_bound(self, monkeypatch):
+        # the first structured start e1 of w(3) reaches p_max * d = 1/2 in
+        # its first measurement solve, which ends the run
+        solves = []
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return solve_at(*args, **kwargs)
+
+        solve_at = probeopt._solve_at
+        monkeypatch.setattr(probeopt, "_solve_at", counting)
+        ens = w_family(3)
+        value, _ = probeopt._seesaw_run(
+            list(ens.unitaries), ens.priors, np.eye(3, dtype=complex)[:, 0], SeesawConfig()
+        )
+        assert value == pytest.approx(0.5, abs=1e-12)
+        assert len(solves) == 1
 
     def test_restart_values_and_maximum(self):
         cfg = SeesawConfig(restarts=4, max_iter=50, tol=1e-6, seed=3)
