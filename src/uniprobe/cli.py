@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -49,15 +47,6 @@ _CLASS_ALIASES = {"product": PRODUCT, "maxent": MAX_ENTANGLED, "arbitrary": ARBI
 
 class InputError(ValueError):
     """Bad command-line input or malformed input file."""
-
-
-def _threads() -> int:
-    raw = os.environ.get("UNIPROBE_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InputError(f"UNIPROBE_THREADS must be an integer, got '{raw}'")
-    return os.cpu_count() or 1 if n <= 0 else n
 
 
 def _round9(x: float) -> float:
@@ -175,44 +164,29 @@ def cmd_pairwise(args):
 
 def cmd_ensemble(args):
     ensemble = _resolve_ensemble(args)
+    restart_values = None
     if args.probe:
         probe = _load_probe(args.probe)
         if probe.state.dim_a != ensemble.dim:
             raise InputError("probe A dimension does not match the ensemble")
-        outcome = evaluate(ensemble, probe, tol=args.tol)
-        payload = {
-            "value": outcome.success_prob,
-            "dual_gap": outcome.dual_gap,
-            "iterations": outcome.iterations,
-            "converged": outcome.converged,
-            "probe_class": probe.class_tag,
-            "schmidt_coefficients": [float(c) for c in probe.schmidt.coefficients],
-        }
+        outcome, tag = evaluate(ensemble, probe, tol=args.tol), probe.class_tag
+    elif (cls := _probe_class(args)) == MAX_ENTANGLED:
+        probe = probe_max_entangled(ensemble.dim)
+        outcome, tag = evaluate(ensemble, probe, tol=args.tol), "maxent"
     else:
-        cls = _probe_class(args)
-        cfg = _seesaw_config(args)
-        if cls == MAX_ENTANGLED:
-            probe = probe_max_entangled(ensemble.dim)
-            outcome = evaluate(ensemble, probe, tol=args.tol)
-            payload = {
-                "value": outcome.success_prob,
-                "dual_gap": outcome.dual_gap,
-                "iterations": outcome.iterations,
-                "converged": outcome.converged,
-                "probe_class": "maxent",
-                "schmidt_coefficients": [float(c) for c in probe.schmidt.coefficients],
-            }
-        else:
-            result = optimize(ensemble, cls, cfg)
-            payload = {
-                "value": result.value,
-                "dual_gap": result.outcome.dual_gap,
-                "iterations": result.outcome.iterations,
-                "converged": result.outcome.converged,
-                "probe_class": args.probe_class,
-                "schmidt_coefficients": [float(c) for c in result.probe.schmidt.coefficients],
-                "restart_values": [float(v) for v in result.restart_values],
-            }
+        result = optimize(ensemble, cls, _seesaw_config(args))
+        probe, outcome, tag = result.probe, result.outcome, args.probe_class
+        restart_values = [float(v) for v in result.restart_values]
+    payload = {
+        "value": outcome.success_prob,
+        "dual_gap": outcome.dual_gap,
+        "iterations": outcome.iterations,
+        "converged": outcome.converged,
+        "probe_class": tag,
+        "schmidt_coefficients": [float(c) for c in probe.schmidt.coefficients],
+    }
+    if restart_values is not None:
+        payload["restart_values"] = restart_values
     if args.format == "json":
         return _emit_json(payload), EXIT_OK
     lines = ["key,value"]
@@ -246,14 +220,7 @@ def cmd_tables(args):
         raise InputError(f"family '{args.family}' supports d in {lo}..{hi}")
     cfg = _seesaw_config(args)
     table_fn = probeopt.table_v if args.family == "v" else probeopt.table_w
-
-    workers = min(_threads(), len(d_range))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows_nested = list(pool.map(lambda d: table_fn([d], cfg), d_range))
-        rows = [row for chunk in rows_nested for row in chunk]
-    else:
-        rows = table_fn(d_range, cfg)
+    rows = table_fn(d_range, cfg)
 
     if args.format == "json":
         return _emit_json({"family": args.family, "rows": [r.to_json() for r in rows]}), EXIT_OK
@@ -305,9 +272,7 @@ def _simulate_probe(args, ensemble: UnitaryEnsemble) -> ProbeSpec:
         if base == "w":
             return probe_w_family(int(arg))
         if base in ("swapped", "ttrio"):
-            return ProbeSpec.from_state(
-                pairwise.optimal_entangled_probe(*_builtin(args.builtin).unitaries)
-            )
+            return ProbeSpec.from_state(pairwise.optimal_entangled_probe(*ensemble.unitaries))
     return optimize(ensemble, ARBITRARY, _seesaw_config(args)).probe
 
 
@@ -341,13 +306,7 @@ def cmd_verify(args):
     checks = [c for c in _VERIFY_CHECKS if args.only is None or args.only in c[0]]
     if not checks:
         raise InputError(f"--only '{args.only}' matches no check")
-    rng_seed = args.seed
-    workers = min(_threads(), len(checks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: c[1](rng_seed), checks))
-    else:
-        results = [fn(rng_seed) for _, fn in checks]
+    results = [fn(args.seed) for _, fn in checks]
     ok_all = all(r[0] for r in results)
     code = EXIT_OK if ok_all else EXIT_VERIFY_FAILED
     if args.format == "json":
@@ -648,9 +607,7 @@ def _check_vfamily(seed):
         ok = ok and abs(np.trace(ens.unitaries[0].conj().T @ ens.unitaries[1]) - (d - 2)) <= 1e-12
         spec_probe = probe_v_family(d)
         ev = probeopt.evolve(ens, spec_probe)
-        gram2 = np.array(
-            [[np.trace(a @ b).real for b in ev.states] for a in ev.states]
-        )
+        gram2 = np.abs(ev.vectors.conj().T @ ev.vectors) ** 2
         worst = max(worst, float(np.max(np.abs(gram2 - np.eye(d)))))
     return ok and worst <= 1e-9, worst, "column relations and evolved orthogonality, d=3..7"
 
@@ -664,7 +621,7 @@ def _check_wfamily(seed):
         tr = np.trace(ens.unitaries[0].conj().T @ ens.unitaries[d])
         ok = ok and abs(tr - (d - 2)) <= 1e-12
         ev = probeopt.evolve(ens, probe_w_family(d))
-        gram = np.array([[np.trace(a @ b).real for b in ev.states] for a in ev.states])
+        gram = np.abs(ev.vectors.conj().T @ ev.vectors) ** 2
         worst = max(worst, float(np.max(np.abs(gram - np.eye(2 * d)))))
     return ok and worst <= 1e-9, worst, "evolved orthogonality under the balanced probe, d=3..6"
 

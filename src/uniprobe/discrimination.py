@@ -6,15 +6,20 @@ inverse square root of their sum). Correctness does not rest on the
 iteration itself: every answer is certified by a feasibilized dual operator
 whose trace bounds the optimum from above, so ``dual_gap`` is a rigorous
 optimality gap regardless of how the iterate was produced.
+
+Pure ensembles are solved on their n x n Gram matrix: the value depends only
+on the states' inner products and the priors, so the solver never forms
+their D x D density matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .qlinalg import SUPPORT_CUTOFF, matrix_to_json, trace_norm
+from .qlinalg import SUPPORT_CUTOFF, trace_norm
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 5000
@@ -24,35 +29,49 @@ STALL_REL_CHANGE = 1e-12
 STALL_WINDOW = 50
 
 
-@dataclass(eq=False)
 class StateEnsemble:
-    """States with priors; the evolved-state input of the discrimination task."""
+    """States with priors; the evolved-state input of the discrimination task.
 
-    states: list
-    priors: np.ndarray
+    A pure ensemble made by ``from_vectors`` keeps its state vectors, the
+    columns of ``vectors``; its density matrices are formed only when
+    ``states`` is read. ``vectors`` is None for an ensemble of matrices.
+    """
 
-    def __post_init__(self):
-        self.states = [np.asarray(s, dtype=complex) for s in self.states]
-        self.priors = np.asarray(self.priors, dtype=float).ravel()
-        if len(self.states) == 0:
-            raise ValueError("ensemble must contain at least one state")
-        if self.priors.size != len(self.states):
+    def __init__(self, states, priors, vectors=None):
+        self.vectors = None if vectors is None else np.asarray(vectors, dtype=complex)
+        self._states = None if states is None else [np.asarray(s, dtype=complex) for s in states]
+        self.priors = np.asarray(priors, dtype=float).ravel()
+        if self.size != (len(self._states) if vectors is None else self.vectors.shape[1]):
             raise ValueError("priors count does not match state count")
+        if self.size == 0:
+            raise ValueError("ensemble must contain at least one state")
         if np.any(self.priors <= 0):
             raise ValueError("priors must be positive")
         if abs(self.priors.sum() - 1.0) > 1e-10:
             raise ValueError("priors must sum to 1")
-        d = self.states[0].shape
-        if any(s.shape != d for s in self.states) or d[0] != d[1]:
-            raise ValueError("all states must be square matrices of a common dimension")
+        if vectors is None:
+            d = self._states[0].shape
+            if any(s.shape != d for s in self._states) or d[0] != d[1]:
+                raise ValueError("all states must be square matrices of a common dimension")
+
+    @classmethod
+    def from_vectors(cls, vectors, priors) -> StateEnsemble:
+        """Pure ensemble of the columns of a (D, n) array."""
+        return cls(None, priors, vectors)
+
+    @property
+    def states(self) -> list:
+        if self._states is None:
+            self._states = [np.outer(v, v.conj()) for v in self.vectors.T]
+        return self._states
 
     @property
     def dim(self) -> int:
-        return self.states[0].shape[0]
+        return self.vectors.shape[0] if self.vectors is not None else self._states[0].shape[0]
 
     @property
     def size(self) -> int:
-        return len(self.states)
+        return self.priors.size
 
     def weighted(self) -> list:
         return [p * s for p, s in zip(self.priors, self.states)]
@@ -85,20 +104,26 @@ class Povm:
 
 @dataclass(eq=False)
 class DiscriminationOutcome:
+    """A certified solve. ``elements`` is the POVM on the support of the
+    weighted states, in the coordinates of the (D, r) isometry ``basis``
+    (None when the support is the whole space); ``povm`` lifts it to the full
+    space, with the kernel projector on element 0, when first read."""
+
     success_prob: float
-    povm: Povm
     dual_gap: float
     iterations: int
     converged: bool
+    elements: np.ndarray
+    basis: np.ndarray | None
 
-    def to_json(self) -> dict:
-        return {
-            "value": float(self.success_prob),
-            "dual_gap": float(self.dual_gap),
-            "iterations": int(self.iterations),
-            "converged": bool(self.converged),
-            "povm": [matrix_to_json(e) for e in self.povm.elements],
-        }
+    @cached_property
+    def povm(self) -> Povm:
+        if self.basis is None:
+            return Povm(list(self.elements))
+        b = self.basis
+        lifted = [b @ e @ b.conj().T for e in self.elements]
+        lifted[0] = lifted[0] + np.eye(b.shape[0]) - b @ b.conj().T
+        return Povm(lifted)
 
 
 @dataclass(eq=False)
@@ -176,6 +201,34 @@ def _certified_gap(weighted: np.ndarray, elems: np.ndarray, cap: float):
     return value, min(weighted.shape[-1] * max(worst, 0.0), max(cap - value, 0.0))
 
 
+def _reduce(ensemble: StateEnsemble):
+    """The weighted states on the support of their sum, as an (n, r, r) stack,
+    and the (D, r) isometry onto that support, None when it is the whole space.
+
+    A pure ensemble finds the support from its Gram matrix: with Phi =
+    Psi diag(sqrt p) and Phi^dag Phi = V Lambda V^dag, kept on the eigenvalues
+    above the cutoff (the nonzero spectrum of sum_x G_x), the weighted states
+    are the columns of Lambda^{1/2} V^dag in the basis B = Phi V Lambda^{-1/2}.
+    """
+    if ensemble.vectors is None:
+        weighted = ensemble.weighted()
+        basis = _support_basis(weighted)
+        if basis.shape[1] == ensemble.dim:
+            return np.array(weighted), None
+        # reduce before stacking: a stacked copy of large full-space states
+        # would dominate peak memory
+        return np.array([basis.conj().T @ g @ basis for g in weighted]), basis
+    phi = ensemble.vectors * np.sqrt(ensemble.priors)
+    w, v = np.linalg.eigh(phi.conj().T @ phi)
+    keep = w > SUPPORT_CUTOFF * max(float(w.max()), 1e-300)
+    if keep.sum() == ensemble.dim:
+        # the states span the whole space (D <= n): no reduction to make
+        return np.array(ensemble.weighted()), None
+    root = np.sqrt(w[keep])
+    cols = (root[:, None] * v[:, keep].conj().T).T
+    return cols[:, :, None] * cols.conj()[:, None, :], phi @ (v[:, keep] / root)
+
+
 def discriminate_optimal(
     ensemble: StateEnsemble,
     tol: float = DEFAULT_TOL,
@@ -185,9 +238,10 @@ def discriminate_optimal(
 
     The problem is first restricted to the joint support of the weighted
     states (exact: the kernel contributes nothing to the value, and the
-    returned POVM is completed there with a projector on element 0). The
-    trivial measurement that always guesses the likeliest state seeds the
-    best iterate. The fixed-point iteration then runs until the best
+    POVM is completed there with a projector on element 0), found from the
+    n x n Gram matrix of a pure ensemble or the D x D sum of mixed states.
+    The trivial measurement that always guesses the likeliest state seeds
+    the best iterate. The fixed-point iteration then runs until the best
     certified gap drops to ``tol``, the value stalls, or ``max_iter`` is
     reached; the best iterate is returned with ``converged`` flagging
     whether the gap was met.
@@ -200,16 +254,7 @@ def discriminate_optimal(
         raise ValueError("tolerance must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    dim = ensemble.dim
-    weighted_full = ensemble.weighted()
-
-    basis = _support_basis(weighted_full)
-    reduced = basis.shape[1] < dim
-    # stack the states only once reduced (r <= n for pure states): a stacked
-    # copy of large full-space states would dominate peak memory
-    weighted = np.array(
-        [basis.conj().T @ g @ basis for g in weighted_full] if reduced else weighted_full
-    )
+    weighted, basis = _reduce(ensemble)
     r = weighted.shape[-1]
     eye = np.eye(r)
     trace_sum = float(np.einsum("xii->", weighted).real)
@@ -243,22 +288,7 @@ def discriminate_optimal(
         elems = inv_sqrt @ mu @ inv_sqrt
         elems[0] += eye - proj
 
-    if reduced:
-        lifted = [basis @ e @ basis.conj().T for e in best_elems]
-        lifted[0] = lifted[0] + np.eye(dim) - basis @ basis.conj().T
-    else:
-        lifted = list(best_elems)
-    povm = Povm(lifted)
-    # recompute on the full space so the reported value matches the POVM;
-    # Tr(G E) = sum_ij G_ij E_ji needs no matrix product
-    value = float(sum(np.einsum("ij,ji->", g, e).real for g, e in zip(weighted_full, lifted)))
-    return DiscriminationOutcome(
-        success_prob=value,
-        povm=povm,
-        dual_gap=float(best_gap),
-        iterations=iterations,
-        converged=best_gap <= tol,
-    )
+    return DiscriminationOutcome(best_value, best_gap, iterations, best_gap <= tol, best_elems, basis)
 
 
 def verify_certificate(ensemble: StateEnsemble, povm: Povm) -> Certificate:

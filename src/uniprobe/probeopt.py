@@ -101,28 +101,23 @@ class CommonProbeResult:
     pair_values: list
 
 
-def _as_state(probe) -> PureState:
-    return probe.state if isinstance(probe, ProbeSpec) else probe
-
-
 def evolve(ensemble: UnitaryEnsemble, probe) -> StateEnsemble:
     """Evolved-state ensemble {(U_x tensor 1)|probe>} with the same priors.
 
     Product probes are evolved without the ancilla: the value cannot depend
     on a factored-out B system, and the smaller space is exact.
     """
-    state = _as_state(probe)
+    state = probe.state if isinstance(probe, ProbeSpec) else probe
     if state.dim_a != ensemble.dim:
         raise ValueError("probe A dimension does not match the ensemble")
     spec = probe if isinstance(probe, ProbeSpec) else ProbeSpec.from_state(state)
     if spec.class_tag == PRODUCT:
-        a_side = spec.schmidt.left_basis[:, 0]
-        vecs = [u @ a_side for u in ensemble.unitaries]
+        vecs = np.asarray(ensemble.unitaries) @ spec.schmidt.left_basis[:, 0]
     else:
-        eye_b = np.eye(state.dim_b)
-        vecs = [tensor(u, eye_b) @ state.amplitudes for u in ensemble.unitaries]
-    states = [np.outer(v, v.conj()) for v in vecs]
-    return StateEnsemble(states=states, priors=ensemble.priors.copy())
+        # (U tensor 1)|psi> is U applied to psi as a dim_a x dim_b matrix
+        amps = state.amplitudes.reshape(ensemble.dim, state.dim_b)
+        vecs = (np.asarray(ensemble.unitaries) @ amps).reshape(ensemble.size, -1)
+    return StateEnsemble.from_vectors(vecs.T, ensemble.priors.copy())
 
 
 def evaluate(
@@ -151,11 +146,21 @@ def _top_eigvec(f: np.ndarray) -> np.ndarray:
 
 
 def _solve_at(operators, priors, probe, tol, max_iter=5000):
-    vecs = [a @ probe for a in operators]
-    states = [np.outer(v, v.conj()) for v in vecs]
     return discriminate_optimal(
-        StateEnsemble(states=states, priors=priors), tol=tol, max_iter=max_iter
+        StateEnsemble.from_vectors((operators @ probe).T, priors), tol=tol, max_iter=max_iter
     )
+
+
+def _success_operator(adjoints, priors, outcome) -> np.ndarray:
+    """F = sum_x p_x A_x^dag M_x A_x for the solve's lifted POVM M, from its
+    support elements N_x and isometry B, given the adjoints A_x^dag: with
+    C_x = A_x^dag B it is sum_x p_x C_x N_x C_x^dag + p_0 (1 - C_0 C_0^dag),
+    as A_0 is unitary."""
+    c = adjoints if outcome.basis is None else adjoints @ outcome.basis
+    f = ((priors[:, None, None] * c) @ outcome.elements @ c.conj().transpose(0, 2, 1)).sum(axis=0)
+    if outcome.basis is None:
+        return f
+    return f + priors[0] * (np.eye(f.shape[0]) - c[0] @ c[0].conj().T)
 
 
 def _seesaw_run(operators, priors, start, cfg: SeesawConfig):
@@ -166,11 +171,11 @@ def _seesaw_run(operators, priors, start, cfg: SeesawConfig):
     restart gets a full-precision re-solve in ``_seesaw_class``. Returns
     (best value, best probe vector).
     """
+    operators = np.asarray(operators)
+    adjoints = operators.conj().transpose(0, 2, 1)
     probe = np.asarray(start, dtype=complex)
     probe = probe / np.linalg.norm(probe)
-    # p_max * I is dual feasible for any probe in this space, so no run can
-    # beat min(1, p_max * D); reaching it ends the run
-    bound = min(1.0, float(np.max(priors)) * probe.size) - cfg.inner_tol
+    bound = _class_bound(priors, probe.size, cfg)
     best_value, best_probe = -np.inf, probe
     prev_value = -np.inf
     flat = 0
@@ -190,18 +195,26 @@ def _seesaw_run(operators, priors, start, cfg: SeesawConfig):
         prev_value = value
         if flat >= _NO_IMPROVE_WINDOW or value >= bound:
             break
-        f = sum(
-            p * a.conj().T @ n @ a
-            for p, a, n in zip(priors, operators, outcome.povm.elements)
-        )
-        probe = _top_eigvec(f)
+        probe = _top_eigvec(_success_operator(adjoints, priors, outcome))
     return best_value, best_probe
 
 
-def _seesaw_class(ensemble: UnitaryEnsemble, probe_class: str, cfg: SeesawConfig):
+def _class_bound(priors, space: int, cfg: SeesawConfig) -> float:
+    # p_max * I is dual feasible for any probe in a space of this dimension,
+    # so no probe can beat min(1, p_max * space); a value within the inner
+    # tolerance of it ends the search
+    return min(1.0, float(np.max(priors)) * space) - cfg.inner_tol
+
+
+def _seesaw_class(
+    ensemble: UnitaryEnsemble, probe_class: str, cfg: SeesawConfig, stop_at_bound: bool
+):
+    """Restarted see-saw over a probe class. With ``stop_at_bound`` the
+    restarts end at the first run that reaches the class bound, which no
+    later run can beat; otherwise every restart runs and is reported."""
     d = ensemble.dim
     if probe_class == PRODUCT:
-        operators = list(ensemble.unitaries)
+        operators = np.asarray(ensemble.unitaries)
         # structured starts: for pairs the hull-optimal A-side vector (attains
         # the closed form exactly), then a basis vector and the uniform vector
         structured = []
@@ -216,7 +229,7 @@ def _seesaw_class(ensemble: UnitaryEnsemble, probe_class: str, cfg: SeesawConfig
         space = d
     else:
         eye = np.eye(d)
-        operators = [tensor(u, eye) for u in ensemble.unitaries]
+        operators = np.array([tensor(u, eye) for u in ensemble.unitaries])
         # pair warm start first; then the canonical entangled start and the
         # product-class starts with an inert ancilla, so the arbitrary-class
         # value can never trail the product one
@@ -232,20 +245,23 @@ def _seesaw_class(ensemble: UnitaryEnsemble, probe_class: str, cfg: SeesawConfig
         space = d * d
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    starts = []
-    for r in range(cfg.restarts):
-        if r < len(structured):
-            starts.append(structured[r])
-        else:
-            starts.append(haar_state(space, np.random.default_rng(seeds[r])))
+    # drawn lazily: a loop that stops at the bound leaves the rest undrawn
+    starts = (
+        structured[r] if r < len(structured) else haar_state(space, np.random.default_rng(seeds[r]))
+        for r in range(cfg.restarts)
+    )
 
+    bound = _class_bound(ensemble.priors, space, cfg)
     best = None
     restart_values = []
     for start in starts:
         value, probe_vec = _seesaw_run(operators, ensemble.priors, start, cfg)
         restart_values.append(value)
-        if best is None or value > best[0]:
+        # a later run must win by more than rounding, so ties keep the first
+        if best is None or value > best[0] + _IMPROVE_EPS:
             best = (value, probe_vec, len(restart_values) - 1)
+        if stop_at_bound and best[0] >= bound:
+            break
 
     _, probe_vec, winner = best
     # full-precision solve for the winner only; the capped solver is
@@ -255,18 +271,20 @@ def _seesaw_class(ensemble: UnitaryEnsemble, probe_class: str, cfg: SeesawConfig
     restart_values[winner] = value
     if probe_class == PRODUCT:
         # report the probe in d tensor d form with a fixed ancilla vector
-        full = np.kron(probe_vec, np.eye(d, dtype=complex)[:, 0])
-        probe = ProbeSpec.from_state(PureState(dim_a=d, dim_b=d, amplitudes=full))
-    else:
-        probe = ProbeSpec.from_state(PureState(dim_a=d, dim_b=d, amplitudes=probe_vec))
+        probe_vec = np.kron(probe_vec, np.eye(d, dtype=complex)[:, 0])
+    probe = ProbeSpec.from_state(PureState(dim_a=d, dim_b=d, amplitudes=probe_vec))
     return ProbeOptResult(value=value, probe=probe, outcome=outcome, restart_values=restart_values)
 
 
-def optimize(ensemble: UnitaryEnsemble, probe_class: str, cfg: SeesawConfig) -> ProbeOptResult:
+def optimize(
+    ensemble: UnitaryEnsemble, probe_class: str, cfg: SeesawConfig, stop_at_bound: bool = False
+) -> ProbeOptResult:
     """Best discrimination value over a probe class via restarted see-saw.
 
     The maximally entangled class has nothing to optimize: the value is
     invariant across such probes, so the canonical one is evaluated once.
+    ``stop_at_bound`` ends the restarts once one reaches the class bound
+    min(1, p_max D), so ``restart_values`` then lists only the runs made.
     """
     if probe_class not in _PROBE_CLASSES:
         raise ValueError(f"unknown probe class '{probe_class}'")
@@ -279,14 +297,15 @@ def optimize(ensemble: UnitaryEnsemble, probe_class: str, cfg: SeesawConfig) -> 
             outcome=outcome,
             restart_values=[outcome.success_prob],
         )
-    return _seesaw_class(ensemble, probe_class, cfg)
+    return _seesaw_class(ensemble, probe_class, cfg, stop_at_bound)
 
 
 def _table(builder, probe_builder, d_range, cfg: SeesawConfig) -> list:
     rows = []
     for d in d_range:
         ensemble = builder(d)
-        opt_p = optimize(ensemble, PRODUCT, cfg)
+        # the table prints only the best value, so restarts end at the bound
+        opt_p = optimize(ensemble, PRODUCT, cfg, stop_at_bound=True)
         nme = evaluate(ensemble, probe_builder(d), tol=cfg.tol)
         me = evaluate(ensemble, probe_max_entangled(d), tol=cfg.tol)
         rows.append(

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 #: max-abs tolerance for structural identities such as U†U = 1.
 UNITARY_TOL = 1e-10
@@ -54,19 +53,6 @@ def assert_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> None:
         raise ValueError("operator is not unitary within tolerance")
 
 
-def assert_density(rho: np.ndarray, tol: float = UNITARY_TOL) -> None:
-    """Check Hermiticity, unit trace and positivity of a density operator."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("density operator must be square")
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
-        raise ValueError("density operator is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > tol:
-        raise ValueError("density operator trace differs from 1")
-    if np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() < -1e-9:
-        raise ValueError("density operator has a negative eigenvalue")
-
-
 def eig_normal(m: np.ndarray, tol: float = SPECTRAL_TOL):
     """Eigendecomposition of a normal matrix with orthonormal eigenvectors.
 
@@ -85,6 +71,8 @@ def eig_normal(m: np.ndarray, tol: float = SPECTRAL_TOL):
     comm = m @ m.conj().T - m.conj().T @ m
     if np.max(np.abs(comm)) > tol:
         raise ValueError("matrix is not normal within tolerance")
+    import scipy.linalg  # imported here: it is most of the package's import time
+
     try:
         t, q = scipy.linalg.schur(m, output="complex")
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure

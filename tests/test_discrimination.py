@@ -265,6 +265,58 @@ class TestSampleTrials:
         assert a == b
 
 
+def haar_vectors(dim, n, rng, rank=None):
+    """n Haar-random unit vectors in C^dim, spanning at most ``rank`` dimensions."""
+    k = rank or dim
+    basis = haar_unitary(dim, rng)[:, :k]
+    coeffs = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+    vecs = basis @ coeffs
+    return vecs / np.linalg.norm(vecs, axis=0)
+
+
+class TestGramRoute:
+    # (dim, n, rank): n below the rank, n above a full rank, and n above a
+    # rank below dim, where the Gram route drops eigenvalues
+    SHAPES = [(d, n, r) for d in (3, 4, 5) for (n, r) in ((d - 1, d), (d + 2, d), (d + 2, d - 1))]
+
+    def pair(self, rng, dim, n, rank):
+        vecs = haar_vectors(dim, n, rng, rank)
+        priors = rng.dirichlet(np.ones(n))
+        dense = StateEnsemble([np.outer(v, v.conj()) for v in vecs.T], priors)
+        return StateEnsemble.from_vectors(vecs, priors), dense
+
+    def test_gram_and_density_paths_agree(self):
+        rng = np.random.default_rng(2701)
+        for dim, n, rank in self.SHAPES:
+            pure, dense = self.pair(rng, dim, n, rank)
+            a = discriminate_optimal(pure, tol=1e-7)
+            b = discriminate_optimal(dense, tol=1e-7)
+            assert a.success_prob == pytest.approx(b.success_prob, abs=1e-12)
+            assert a.dual_gap <= 1e-7 and b.dual_gap <= 1e-7
+            assert a.converged and b.converged
+
+    def test_lifted_povm_is_valid_and_reproduces_value(self):
+        rng = np.random.default_rng(2702)
+        for dim, n, rank in self.SHAPES:
+            pure, _ = self.pair(rng, dim, n, rank)
+            out = discriminate_optimal(pure, tol=1e-7)
+            out.povm.validate()
+            assert out.povm.dim == dim
+            value = sum(
+                p * (v.conj() @ e @ v).real
+                for p, v, e in zip(pure.priors, pure.vectors.T, out.povm.elements)
+            )
+            assert value == pytest.approx(out.success_prob, abs=1e-12)
+
+    def test_states_formed_on_demand(self):
+        vecs = haar_vectors(4, 3, np.random.default_rng(2703))
+        ens = StateEnsemble.from_vectors(vecs, np.full(3, 1 / 3))
+        assert (ens.dim, ens.size) == (4, 3)
+        np.testing.assert_allclose(ens.states[1], np.outer(vecs[:, 1], vecs[:, 1].conj()))
+        with pytest.raises(ValueError):
+            StateEnsemble.from_vectors(vecs, np.full(2, 1 / 2))
+
+
 class TestValidation:
     def test_ensemble_validation(self):
         with pytest.raises(ValueError):

@@ -157,7 +157,46 @@ class TestProbeUpdateOptimality:
         assert float(values.max()) <= top + 1e-9
 
 
+    def test_reduced_success_operator_matches_lifted_povm(self):
+        rng = np.random.default_rng(2704)
+        for ens, probe in (
+            (v_family(3), probe_max_entangled(3).state.amplitudes),
+            (w_family(3), np.kron(np.ones(3) / np.sqrt(3), np.eye(3)[:, 0])),
+            (pair_ensemble(haar_unitary(3, rng), haar_unitary(3, rng)), np.eye(3)[:, 1]),
+            # six states span all of C^3: the support basis is the identity
+            (w_family(3), np.ones(3) / np.sqrt(3)),
+        ):
+            dim = probe.size // ens.dim
+            ops = np.array([np.kron(u, np.eye(dim)) for u in ens.unitaries])
+            outcome = probeopt._solve_at(ops, ens.priors, probe.astype(complex), 1e-7)
+            expected = sum(
+                p * a.conj().T @ m @ a
+                for p, a, m in zip(ens.priors, ops, outcome.povm.elements)
+            )
+            f = probeopt._success_operator(ops.conj().transpose(0, 2, 1), ens.priors, outcome)
+            np.testing.assert_allclose(f, expected, atol=1e-12)
+
+
 class TestTables:
+    def test_table_stops_restarts_at_class_bound(self, monkeypatch):
+        runs = []
+
+        def counting(*args, **kwargs):
+            runs.append(1)
+            return seesaw_run(*args, **kwargs)
+
+        seesaw_run = probeopt._seesaw_run
+        monkeypatch.setattr(probeopt, "_seesaw_run", counting)
+        cfg = SeesawConfig(restarts=6, max_iter=60, tol=1e-6, seed=0)
+        row = table_w([3], cfg)[0]
+        assert len(runs) == 1
+        assert row.d_p == pytest.approx(0.5, abs=1e-12)
+        # optimize itself still runs and reports every restart
+        runs.clear()
+        res = optimize(w_family(3), PRODUCT, cfg)
+        assert len(runs) == cfg.restarts
+        assert len(res.restart_values) == cfg.restarts
+
     def test_v_table_single_row(self):
         cfg = SeesawConfig(restarts=3, max_iter=60, tol=1e-6, seed=0)
         rows = table_v([3], cfg)
